@@ -2,6 +2,8 @@ package analyzer
 
 import (
 	"fmt"
+	"net/netip"
+	"slices"
 
 	"github.com/lumina-sim/lumina/internal/packet"
 	"github.com/lumina-sim/lumina/internal/rnic"
@@ -31,13 +33,19 @@ type HostView struct {
 	Counters map[string]uint64
 }
 
-func (h HostView) owns(ip string) bool {
-	for _, a := range h.IPs {
-		if a == ip {
-			return true
+// addrs parses IPs once per check. An entry owns an address exactly
+// when it spells that address's String() form, so non-canonical
+// spellings are dropped; an unparsable entry yields the zero Addr and
+// is kept only if it reads "invalid IP", the zero Addr's String().
+func (h HostView) addrs() []netip.Addr {
+	out := make([]netip.Addr, 0, len(h.IPs))
+	for _, s := range h.IPs {
+		a, _ := netip.ParseAddr(s) // the zero Addr on error, as above
+		if a.String() == s {
+			out = append(out, a)
 		}
 	}
-	return false
+	return out
 }
 
 // CheckCounters cross-checks each host's counters against the trace.
@@ -59,6 +67,7 @@ func checkHost(tr *trace.Trace, h HostView) []Inconsistency {
 	// read-request PSN reservations (one PSN per response packet) can be
 	// reconstructed from DMALen.
 	mtu := estimateMTU(tr)
+	addrs := h.addrs()
 
 	// Packets transmitted by this host = trace entries whose source IP
 	// belongs to it. (The injector mirrors at ingress, so every
@@ -85,7 +94,7 @@ func checkHost(tr *trace.Trace, h HostView) []Inconsistency {
 		// Read responses delivered toward this host feed the OOO
 		// evidence tracker. Injector-dropped copies never reached the
 		// host, so they carry no evidence.
-		if op.IsReadResponse() && h.owns(e.Pkt.IP.Dst.String()) && e.Meta.Event != packet.EventDrop {
+		if op.IsReadResponse() && slices.Contains(addrs, e.Pkt.IP.Dst) && e.Meta.Event != packet.EventDrop {
 			st := respOOO[e.Key()]
 			if st == nil {
 				st = &respStateT{}
@@ -103,8 +112,7 @@ func checkHost(tr *trace.Trace, h HostView) []Inconsistency {
 			}
 		}
 
-		src := e.Pkt.IP.Src.String()
-		if !h.owns(src) {
+		if !slices.Contains(addrs, e.Pkt.IP.Src) {
 			continue
 		}
 		txSeen++

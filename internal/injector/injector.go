@@ -123,6 +123,12 @@ type Switch struct {
 	// to the in-flight window.
 	mirrorPool [][]byte
 
+	// fwd holds the forwarding stages, one per latency class (fwdBase,
+	// fwdFull); mirrorOut is the mirror stage toward the dumpers, whose
+	// departures recycle into mirrorPool.
+	fwd       [2]stage
+	mirrorOut stage
+
 	perPort []PortCounters
 	total   PortCounters
 
@@ -149,7 +155,7 @@ func New(s *sim.Simulator, cfg config.Switch) *Switch {
 	if cfg.PipelineLatencyNs <= 0 {
 		cfg.PipelineLatencyNs = 400
 	}
-	return &Switch{
+	sw := &Switch{
 		Sim:         s,
 		Cfg:         cfg,
 		macTable:    map[packet.MAC]int{},
@@ -159,6 +165,46 @@ func New(s *sim.Simulator, cfg config.Switch) *Switch {
 		held:        map[connKey][]*heldPkt{},
 		rng:         s.RNG().Fork(),
 	}
+	full := sim.Duration(cfg.PipelineLatencyNs)
+	sw.fwd[fwdBase].bind(s, full*5/8, nil)
+	sw.fwd[fwdFull].bind(s, full, nil)
+	sw.mirrorOut.bind(s, full, sw.putMirrorBuf)
+	return sw
+}
+
+// stage is one constant-delay pipeline stage. A frame pushed at t
+// leaves at t + delay; with the delay fixed per stage, departures fire
+// in push order (same-instant ties fall back to scheduling order), so
+// one FIFO and a handler bound at construction replace a closure per
+// packet. Each departure event is scheduled at the same call site and
+// instant a per-packet closure would have been.
+type stage struct {
+	sim     *sim.Simulator
+	delay   sim.Duration
+	q       sim.FIFO[egress]
+	recycle func([]byte) // passed to SendRecycle; nil sends plainly
+	depart  func()
+}
+
+// egress is a frame waiting in a stage for its output port.
+type egress struct {
+	port *sim.Port
+	wire []byte
+}
+
+func (st *stage) bind(s *sim.Simulator, delay sim.Duration, recycle func([]byte)) {
+	st.sim, st.delay, st.recycle, st.depart = s, delay, recycle, st.send
+}
+
+// push queues wire for port, leaving after the stage's delay.
+func (st *stage) push(port *sim.Port, wire []byte) {
+	st.q.Push(egress{port: port, wire: wire})
+	st.sim.After(st.delay, st.depart)
+}
+
+func (st *stage) send() {
+	e := st.q.Pop()
+	e.port.SendRecycle(e.wire, st.recycle)
 }
 
 // heldPkt is a packet parked by an EventReorder action.
@@ -355,7 +401,7 @@ func (sw *Switch) ingress(portIdx int, wire []byte) {
 		// Quantitative delay (§7 future work): forward after the rule's
 		// extra latency on top of the pipeline.
 		sw.Sim.Coverage().Record(coverage.SiteInjectAction, coverage.ActionDelay)
-		d := sw.dataPlaneLatency(true) + rule.Delay
+		d := sw.fwd[sw.latencyClass(true)].delay + rule.Delay
 		dst := pkt.Eth.Dst
 		sw.Sim.After(d, func() { sw.forwardNow(out, dst, true) })
 		return
@@ -463,20 +509,24 @@ func (sw *Switch) rewriteMigReq(pkt *packet.Packet) []byte {
 	return out
 }
 
-// dataPlaneLatency models the pipeline stages a packet traverses:
+// Latency classes of the data plane; each has its own forwarding stage.
+const (
+	fwdBase = iota // parse + forward: 5/8 of PipelineLatencyNs
+	fwdFull        // the full injection pipeline: PipelineLatencyNs
+)
+
+// latencyClass reports which pipeline stages a packet traverses:
 // PipelineLatencyNs is the full Lumina pipeline (parser, ITER tracking,
 // event-injection match-action, L2 forwarding — the prototype's four
 // Tofino stages); packets that skip the injection stages (plain L2 mode,
 // injection disabled, or non-RoCE traffic) only pay the parse+forward
 // fraction. This reproduces Figure 7's 4–7% MCT overhead of the full
 // pipeline over Lumina-ne and plain L2 forwarding.
-func (sw *Switch) dataPlaneLatency(roce bool) sim.Duration {
-	full := sim.Duration(sw.Cfg.PipelineLatencyNs)
-	base := full * 5 / 8
+func (sw *Switch) latencyClass(roce bool) int {
 	if sw.Cfg.L2Only || !sw.Cfg.Inject || !roce {
-		return base
+		return fwdBase
 	}
-	return full
+	return fwdFull
 }
 
 // forward performs L2 forwarding with the stage-dependent latency.
@@ -489,16 +539,13 @@ func (sw *Switch) forward(wire []byte, dst packet.MAC, isRoCE bool) {
 		idx = sw.defaultPort // default route: the uplink trunk
 	}
 	port := sw.hostPorts[idx]
-	out := wire
 	sw.perPort[idx].TxFrames++
 	sw.total.TxFrames++
 	if isRoCE {
 		sw.perPort[idx].TxRoCE++
 		sw.total.TxRoCE++
 	}
-	sw.Sim.After(sw.dataPlaneLatency(isRoCE), func() {
-		port.Send(out)
-	})
+	sw.fwd[sw.latencyClass(isRoCE)].push(port, wire)
 }
 
 // forwardNow is forward without the pipeline latency (the caller already
@@ -578,9 +625,7 @@ func (sw *Switch) mirror(wire []byte, ev packet.EventType, ingress int) {
 		h.Count("switch.mirrored", 1)
 	}
 	sw.total.Mirrored++
-	sw.Sim.After(sim.Duration(sw.Cfg.PipelineLatencyNs), func() {
-		port.SendRecycle(dup, sw.putMirrorBuf)
-	})
+	sw.mirrorOut.push(port, dup)
 }
 
 // nextDumper runs smooth weighted round-robin over the dumper ports.

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 )
 
@@ -33,6 +32,17 @@ import (
 // shards for the same instant (broken canonically by port ordinal).
 // The result is byte-identical at any shard/goroutine count, including
 // MaxProcs 1: parallelism only changes wall-clock time.
+//
+// The canonical key is a total order: the send index is unique within
+// one shard's outbox in one window, a port belongs to one shard, and
+// windows are disjoint in time, so two messages from the same port in
+// different windows differ in send instant. Undelivered messages
+// therefore live in a min-heap on that key (pending): each window
+// pushes only its new outbox entries and delivery pops the due prefix,
+// which yields exactly the sequence a stable sort of the whole list
+// would. Per link direction the key also preserves send order (arrival
+// and send instants are non-decreasing along one FIFO link), which is
+// what lets the receiving port pop its inbox in arrival-event order.
 type Fabric struct {
 	nodes []*Simulator
 	rng   *RNG
@@ -52,13 +62,18 @@ type Fabric struct {
 	// the owning shard pops (during its window), only the fabric pushes
 	// (at the barrier).
 	pool [][][]byte
-	// pending holds swept, not-yet-delivered messages in canonical
-	// order.
-	pending []envelope
+	// pending holds swept, not-yet-delivered messages, a min-heap on
+	// the canonical key.
+	pending msgHeap
 
 	// maxPar caps the number of shard goroutines run concurrently
 	// inside one window (1 = serial). It has no effect on results.
 	maxPar int
+
+	// active is window's per-window list of shards with due events,
+	// reused across windows; sem bounds the concurrent ones.
+	active []*Simulator
+	sem    chan struct{}
 
 	wg sync.WaitGroup
 }
@@ -101,6 +116,7 @@ func NewFabric(seed int64, n, maxPar int) *Fabric {
 		out:       make([][]envelope, n),
 		used:      make([][]xbuf, n),
 		pool:      make([][][]byte, n),
+		sem:       make(chan struct{}, maxPar),
 	}
 	for i := 0; i < n; i++ {
 		s := &Simulator{rng: f.rng, fabric: f, shard: i}
@@ -131,8 +147,8 @@ func (f *Fabric) Connect(a, b int, nameA, nameB string, gbps float64, prop Durat
 		panic("sim: link rate must be positive")
 	}
 	l := &Link{GbpsRate: gbps, Propagation: prop}
-	pa := &Port{Name: nameA, sim: f.nodes[a], link: l, ord: f.nextOrd}
-	pb := &Port{Name: nameB, sim: f.nodes[b], link: l, ord: f.nextOrd + 1}
+	pa := newPort(nameA, f.nodes[a], l, f.nextOrd)
+	pb := newPort(nameB, f.nodes[b], l, f.nextOrd+1)
 	f.nextOrd += 2
 	pa.peer, pb.peer = pb, pa
 	l.A, l.B = pa, pb
@@ -180,68 +196,41 @@ func (f *Fabric) getBuf(src, n int) []byte {
 	return make([]byte, n)
 }
 
-// sweep moves every shard outbox into the canonical pending list and
-// returns spent transfer buffers to their source pools. Runs between
-// windows, with no shard goroutine active.
+// recycleBuf queues a fabric-owned transfer buffer that port p, on the
+// receiving shard, has finished with; sweep returns it to the pool of
+// the sending shard (p's peer).
+func (f *Fabric) recycleBuf(p *Port, buf []byte) {
+	rs := p.sim.shard
+	f.used[rs] = append(f.used[rs], xbuf{src: p.peer.sim.shard, buf: buf})
+}
+
+// sweep moves every shard outbox into the pending heap and returns
+// spent transfer buffers to their source pools. Runs between windows,
+// with no shard goroutine active.
 func (f *Fabric) sweep() {
-	moved := false
 	for i := range f.out {
-		if len(f.out[i]) > 0 {
-			f.pending = append(f.pending, f.out[i]...)
-			f.out[i] = f.out[i][:0]
-			moved = true
+		for _, env := range f.out[i] {
+			f.pending.push(env)
 		}
+		f.out[i] = f.out[i][:0]
 		for _, u := range f.used[i] {
 			f.pool[u.src] = append(f.pool[u.src], u.buf)
 		}
 		f.used[i] = f.used[i][:0]
 	}
-	if moved {
-		sort.SliceStable(f.pending, func(a, b int) bool {
-			x, y := &f.pending[a], &f.pending[b]
-			if x.arrive != y.arrive {
-				return x.arrive < y.arrive
-			}
-			if x.sched != y.sched {
-				return x.sched < y.sched
-			}
-			if x.srcOrd != y.srcOrd {
-				return x.srcOrd < y.srcOrd
-			}
-			return x.idx < y.idx
-		})
-	}
 }
 
 // deliver injects every pending message arriving before horizon into
-// its receiving shard's heap, in canonical order.
+// its receiving shard, in canonical order: the frame joins the
+// destination port's inbox and its arrival event carries the sender's
+// scheduling instant.
 func (f *Fabric) deliver(horizon Time) {
-	n := 0
-	for n < len(f.pending) && f.pending[n].arrive < horizon {
-		n++
-	}
-	if n == 0 {
-		return
-	}
-	for i := 0; i < n; i++ {
-		env := f.pending[i]
+	for len(f.pending) > 0 && f.pending[0].arrive < horizon {
+		env := f.pending.pop()
 		dst := env.src.peer
-		rs := dst.sim
-		data, pooled, srcShard := env.data, env.pooled, env.src.sim.shard
-		rs.atSched(env.arrive, env.sched, func() {
-			dst.RxFrames++
-			dst.RxBytes += uint64(len(data))
-			if dst.recv == nil {
-				panic(fmt.Sprintf("sim: frame arrived at port %q with no receiver", dst.Name))
-			}
-			dst.recv(data)
-			if pooled {
-				f.used[rs.shard] = append(f.used[rs.shard], xbuf{src: srcShard, buf: data})
-			}
-		})
-		f.pending[i] = envelope{}
+		dst.inbox.Push(frame{data: env.data, pooled: env.pooled})
+		dst.sim.atSched(env.arrive, env.sched, dst.onArrive)
 	}
-	f.pending = append(f.pending[:0], f.pending[n:]...)
 }
 
 // next returns the earliest pending instant across every shard heap and
@@ -268,12 +257,13 @@ func (f *Fabric) next() (Time, bool) {
 func (f *Fabric) window(horizon Time) {
 	f.deliver(horizon)
 	limit := horizon - 1
-	var active []*Simulator
+	active := f.active[:0]
 	for _, s := range f.nodes {
 		if at, ok := s.NextEventTime(); ok && at <= limit {
 			active = append(active, s)
 		}
 	}
+	f.active = active
 	switch {
 	case len(active) == 0:
 	case len(active) == 1 || f.maxPar == 1:
@@ -281,15 +271,14 @@ func (f *Fabric) window(horizon Time) {
 			s.drainWindow(limit)
 		}
 	default:
-		sem := make(chan struct{}, f.maxPar)
 		for _, s := range active {
 			s := s
-			sem <- struct{}{}
+			f.sem <- struct{}{}
 			f.wg.Add(1)
 			go func() {
 				defer f.wg.Done()
 				s.drainWindow(limit)
-				<-sem
+				<-f.sem
 			}()
 		}
 		f.wg.Wait()
@@ -370,3 +359,69 @@ func (f *Fabric) Executed() uint64 {
 // PendingMessages reports undelivered cross-shard messages (after the
 // last window this is always zero; exposed for tests).
 func (f *Fabric) PendingMessages() int { return len(f.pending) }
+
+// msgHeap is a binary min-heap of undelivered messages on the canonical
+// key (arrive, sched, srcOrd, idx) — a total order, so the pop sequence
+// is fully determined (see Fabric). Sifts move the hole instead of
+// swapping, one envelope copy per level.
+type msgHeap []envelope
+
+// before reports whether x precedes y in canonical order.
+func (x *envelope) before(y *envelope) bool {
+	if x.arrive != y.arrive {
+		return x.arrive < y.arrive
+	}
+	if x.sched != y.sched {
+		return x.sched < y.sched
+	}
+	if x.srcOrd != y.srcOrd {
+		return x.srcOrd < y.srcOrd
+	}
+	return x.idx < y.idx
+}
+
+func (h *msgHeap) push(env envelope) {
+	*h = append(*h, env)
+	q := *h
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !env.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = env
+}
+
+// pop removes and returns the minimum message.
+func (h *msgHeap) pop() envelope {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = envelope{}
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q[c+1].before(&q[c]) {
+			c++
+		}
+		if !q[c].before(&last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = last
+	return top
+}

@@ -6,6 +6,17 @@ import "fmt"
 // (serialized packet bytes) out of its ports; the link models store-and-
 // forward serialization delay, FIFO output queueing, and propagation
 // delay, then hands the frame to the peer port's receive handler.
+//
+// The per-frame path schedules no closures. One link direction is FIFO:
+// a port's dequeue instants (serialization done) are non-decreasing in
+// send order, and so are the peer's arrival instants (done plus a fixed
+// propagation), with same-instant ties falling back to (schedAt, seq) —
+// also send order, on both intra- and cross-shard links (see Fabric).
+// So each port keeps two FIFOs — the sizes of its queued frames (txq)
+// and the frames in flight toward it (inbox) — and every dequeue or
+// arrival event runs a handler bound once at port creation that pops
+// the head. Each event still fires at the (at, schedAt, seq) a
+// per-frame closure would have had.
 type Port struct {
 	Name string
 
@@ -40,6 +51,29 @@ type Port struct {
 	// bytes in place (the INT stamping hook). It must not schedule events
 	// or retain the slice.
 	stamp func(data []byte, at Time, queuedAhead int64, busy Duration)
+
+	// txq holds the sizes of frames queued at this transmitter, popped
+	// by onDequeue when each finishes serializing; inbox holds the frames
+	// in flight toward this port, popped by onArrive.
+	txq   FIFO[int64]
+	inbox FIFO[frame]
+	// onDequeue and onArrive are the bound methods dequeue and arrive,
+	// built once so scheduling them allocates nothing.
+	onDequeue, onArrive func()
+}
+
+// frame is one frame in flight toward a port.
+type frame struct {
+	data    []byte
+	recycle func([]byte) // intra-shard SendRecycle: run after receive
+	pooled  bool         // data is a fabric-owned transfer buffer
+}
+
+// newPort creates a port and binds its event handlers.
+func newPort(name string, s *Simulator, l *Link, ord int) *Port {
+	p := &Port{Name: name, sim: s, link: l, ord: ord}
+	p.onDequeue, p.onArrive = p.dequeue, p.arrive
+	return p
 }
 
 // SetStamper installs the per-frame egress hook invoked synchronously
@@ -110,8 +144,8 @@ func (p *Port) send(data []byte, recycle func([]byte)) {
 
 	peer := p.peer
 	arrive := done.Add(p.link.Propagation)
-	n := int64(len(data))
-	s.At(done, func() { p.QueueBytes -= n })
+	p.txq.Push(int64(len(data)))
+	s.At(done, p.onDequeue)
 	if peer.sim != s {
 		// Cross-shard link: the arrival becomes a timestamped message
 		// the fabric delivers into the peer's shard at the next safe
@@ -122,17 +156,32 @@ func (p *Port) send(data []byte, recycle func([]byte)) {
 		s.fabric.post(p, data, recycle, now, arrive)
 		return
 	}
-	s.At(arrive, func() {
-		peer.RxFrames++
-		peer.RxBytes += uint64(len(data))
-		if peer.recv == nil {
-			panic(fmt.Sprintf("sim: frame arrived at port %q with no receiver", peer.Name))
-		}
-		peer.recv(data)
-		if recycle != nil {
-			recycle(data)
-		}
-	})
+	peer.inbox.Push(frame{data: data, recycle: recycle})
+	s.At(arrive, peer.onArrive)
+}
+
+// dequeue retires the head of the transmit queue once its serialization
+// finishes.
+func (p *Port) dequeue() { p.QueueBytes -= p.txq.Pop() }
+
+// arrive hands the head of the inbox to the receive handler, then
+// returns its buffer: to the sender's recycle function on an
+// intra-shard link, or to the fabric's transfer-buffer pool when it
+// crossed shards.
+func (p *Port) arrive() {
+	fr := p.inbox.Pop()
+	p.RxFrames++
+	p.RxBytes += uint64(len(fr.data))
+	if p.recv == nil {
+		panic(fmt.Sprintf("sim: frame arrived at port %q with no receiver", p.Name))
+	}
+	p.recv(fr.data)
+	if fr.recycle != nil {
+		fr.recycle(fr.data)
+	}
+	if fr.pooled {
+		p.sim.fabric.recycleBuf(p, fr.data)
+	}
 }
 
 // TxBacklog returns how long the transmitter is already committed beyond
@@ -164,8 +213,8 @@ func Connect(s *Simulator, nameA, nameB string, gbps float64, prop Duration) (*P
 		panic("sim: link rate must be positive")
 	}
 	l := &Link{GbpsRate: gbps, Propagation: prop}
-	a := &Port{Name: nameA, sim: s, link: l}
-	b := &Port{Name: nameB, sim: s, link: l}
+	a := newPort(nameA, s, l, 0)
+	b := newPort(nameB, s, l, 0)
 	a.peer, b.peer = b, a
 	l.A, l.B = a, b
 	return a, b

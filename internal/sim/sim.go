@@ -101,7 +101,8 @@ func (r EventRef) Cancelled() bool {
 	return r.ev == nil || r.ev.gen != r.gen || r.ev.dead
 }
 
-// eventHeap is an indexed 4-ary min-heap ordered by (at, seq). A 4-ary
+// eventHeap is an indexed 4-ary min-heap ordered by (at, schedAt, seq)
+// — on a standalone simulator the same order as (at, seq). A 4-ary
 // layout halves the tree depth of the binary heap it replaced, and the
 // maintained idx field gives O(log n) cancellation without lazy deletion
 // — the queue never holds dead events.
