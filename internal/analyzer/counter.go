@@ -86,6 +86,15 @@ func checkHost(tr *trace.Trace, h HostView) []Inconsistency {
 	// plain timeout recovery (a tail loss yields a re-read with no OOO
 	// response preceding it, and must not count).
 	respOOO := map[trace.ConnKey]*respStateT{}
+	// respOf binds each read-request stream of this host to the response
+	// stream of the same connection. Responses carry no source QPN, so
+	// the binding is learned from the trace itself: a READ_RESP_FIRST or
+	// READ_RESP_ONLY packet carries the PSN of the request it answers,
+	// and the first one matching a fresh request's start PSN (on the
+	// reversed IP pair, recorded in reqAt) binds the two streams. Trace
+	// order is fixed, so the binding is deterministic.
+	reqAt := map[readStart]trace.ConnKey{}
+	respOf := map[trace.ConnKey]trace.ConnKey{}
 
 	for i := range tr.Entries {
 		e := &tr.Entries[i]
@@ -93,22 +102,33 @@ func checkHost(tr *trace.Trace, h HostView) []Inconsistency {
 
 		// Read responses delivered toward this host feed the OOO
 		// evidence tracker. Injector-dropped copies never reached the
-		// host, so they carry no evidence.
-		if op.IsReadResponse() && slices.Contains(addrs, e.Pkt.IP.Dst) && e.Meta.Event != packet.EventDrop {
-			st := respOOO[e.Key()]
-			if st == nil {
-				st = &respStateT{}
-				respOOO[e.Key()] = st
-			}
+		// host, so they carry no evidence — but they still name the
+		// request they answer.
+		if op.IsReadResponse() && slices.Contains(addrs, e.Pkt.IP.Dst) {
+			k := e.Key()
 			psn := e.Pkt.BTH.PSN
-			switch {
-			case !st.init:
-				st.init = true
-				st.expected = psnAdd(psn, 1)
-			case psn == st.expected:
-				st.expected = psnAdd(psn, 1)
-			case psnLT(st.expected, psn):
-				st.ooo = true
+			if op == packet.OpReadResponseFirst || op == packet.OpReadResponseOnly {
+				if q, ok := reqAt[readStart{e.Pkt.IP.Dst, e.Pkt.IP.Src, psn}]; ok {
+					if _, bound := respOf[q]; !bound {
+						respOf[q] = k
+					}
+				}
+			}
+			if e.Meta.Event != packet.EventDrop {
+				st := respOOO[k]
+				if st == nil {
+					st = &respStateT{}
+					respOOO[k] = st
+				}
+				switch {
+				case !st.init:
+					st.init = true
+					st.expected = psnAdd(psn, 1)
+				case psn == st.expected:
+					st.expected = psnAdd(psn, 1)
+				case psnLT(st.expected, psn):
+					st.ooo = true
+				}
 			}
 		}
 
@@ -132,8 +152,9 @@ func checkHost(tr *trace.Trace, h HostView) []Inconsistency {
 			}
 			if psnLT(psn, *exp) {
 				// Re-read into reserved space. It proves an implied NAK
-				// only when OOO responses were actually observed.
-				if st := findRespState(respOOO, e, psn); st != nil && st.ooo {
+				// only when OOO responses were actually observed on this
+				// connection's own response stream.
+				if st := respOOO[respOf[k]]; st != nil && st.ooo {
 					impliedNaks++
 					st.ooo = false
 					st.expected = psn // the requester rewound
@@ -145,6 +166,10 @@ func checkHost(tr *trace.Trace, h HostView) []Inconsistency {
 				npkts = (e.Pkt.RETH.DMALen + uint32(mtu) - 1) / uint32(mtu)
 			}
 			*exp = psnAdd(psn, npkts)
+			rs := readStart{e.Pkt.IP.Src, e.Pkt.IP.Dst, psn}
+			if _, dup := reqAt[rs]; !dup {
+				reqAt[rs] = k
+			}
 		}
 	}
 
@@ -188,15 +213,11 @@ type respStateT struct {
 	ooo      bool
 }
 
-// findRespState links a re-read request to its response stream: reversed
-// IP pair, PSN space near the re-read PSN.
-func findRespState(states map[trace.ConnKey]*respStateT, e *trace.Entry, psn uint32) *respStateT {
-	for k, st := range states {
-		if k.Src == e.Pkt.IP.Dst.String() && k.Dst == e.Pkt.IP.Src.String() && psnNear(st.expected, psn) {
-			return st
-		}
-	}
-	return nil
+// readStart identifies a fresh read request by its IP pair and start
+// PSN — the PSN its first response packet echoes.
+type readStart struct {
+	src, dst netip.Addr
+	psn      uint32
 }
 
 // estimateMTU infers the path MTU as the largest data payload observed

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"net/netip"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -216,7 +217,17 @@ func Default() Test {
 }
 
 // Validate checks internal consistency and fills defaulted fields.
+// Defaults land in t alone: the slices and pointers Validate writes
+// through are cloned first, so validating a copy of a Test neither
+// changes the original nor races with another copy validated
+// concurrently.
 func (t *Test) Validate() error {
+	t.Traffic.QPTransport = slices.Clone(t.Traffic.QPTransport)
+	t.Traffic.Events = slices.Clone(t.Traffic.Events)
+	if t.Fabric != nil {
+		f := *t.Fabric
+		t.Fabric = &f
+	}
 	if t.Seed == 0 {
 		t.Seed = 1
 	}

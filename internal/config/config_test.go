@@ -291,3 +291,45 @@ func TestMarshalYAMLWithExtensions(t *testing.T) {
 		t.Fatalf("round trip changed the config:\nyaml:\n%s\norig: %+v\nback: %+v", out, orig, back)
 	}
 }
+
+// TestValidateCopyLeavesOriginal pins that Validate on a copy of a Test
+// writes its defaults into the copy only: the copy shares the
+// original's slices and fabric pointer, and engine workers validate
+// copies of one scenario concurrently.
+func TestValidateCopyLeavesOriginal(t *testing.T) {
+	orig := Default()
+	orig.Traffic.NumConnections = 2
+	orig.Traffic.Verb = "write"
+	orig.Traffic.QPTransport = []string{"UC", "RC"}
+	orig.Traffic.Events = []Event{{QPN: 1, PSN: 2, Type: "reorder"}}
+	cp := orig
+	if err := cp.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := orig.Traffic.QPTransport; got[0] != "UC" || got[1] != "RC" {
+		t.Errorf("original qp-transport rewritten to %q", got)
+	}
+	if ev := orig.Traffic.Events[0]; ev.Iter != 0 || ev.Offset != 0 {
+		t.Errorf("original event rewritten: iter %d offset %d", ev.Iter, ev.Offset)
+	}
+	if got := cp.Traffic.QPTransport; got[0] != "uc" || got[1] != "rc" {
+		t.Errorf("copy qp-transport = %q, want canonical lower case", got)
+	}
+	if ev := cp.Traffic.Events[0]; ev.Iter != 1 || ev.Offset != 1 {
+		t.Errorf("copy event defaults: iter %d offset %d, want 1 and 1", ev.Iter, ev.Offset)
+	}
+
+	orig = Default()
+	orig.Traffic.Events = nil
+	orig.Fabric = &FabricTopo{}
+	cp = orig
+	if err := cp.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if *orig.Fabric != (FabricTopo{}) {
+		t.Errorf("original fabric rewritten to %+v", *orig.Fabric)
+	}
+	if cp.Fabric.Leaves == 0 || cp.Traffic.Events != nil {
+		t.Errorf("copy fabric %+v, events %v: defaults missing or nil events not kept nil", *cp.Fabric, cp.Traffic.Events)
+	}
+}

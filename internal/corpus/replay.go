@@ -181,10 +181,11 @@ type ReplayOptions struct {
 	// material for diffing two replays (e.g. different worker counts)
 	// byte-for-byte in CI.
 	ArtifactsDir string
-	// Shards partitions each cell's event loop per node (>1). Sharding
-	// is artifact-preserving, so cells still judge against the goldens
-	// recorded at shards=1 — a sharded replay that drifts has caught
-	// the partitioning perturbing the simulation.
+	// Shards caps how many node loops of a fabric-topology cell run
+	// concurrently (orchestrator.Options.Shards); pair-testbed cells are
+	// one node and ignore it. It is artifact-preserving, so cells still
+	// judge against the goldens recorded at shards=1 — a replay that
+	// drifts has caught concurrent node loops perturbing the simulation.
 	Shards int
 	// Cache, when non-nil, is consulted before simulating each cell and
 	// populated after: a cell whose (entry, profile, options, code

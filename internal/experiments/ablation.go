@@ -126,7 +126,7 @@ func AblateWedge() ([]AblationPoint, error) {
 		if err != nil {
 			return 0, err
 		}
-		tb.ReqNIC.Prof.SlowPathContexts = contexts
+		tb.Requesters[0].Prof.SlowPathContexts = contexts
 		rep, err := tb.Execute()
 		if err != nil {
 			return 0, err
@@ -172,7 +172,7 @@ func AblateAPM() ([]AblationPoint, error) {
 		if err != nil {
 			return 0, err
 		}
-		tb.RespNIC.Prof.StrictAPM = strict
+		tb.Responder.Prof.StrictAPM = strict
 		rep, err := tb.Execute()
 		if err != nil {
 			return 0, err

@@ -12,7 +12,6 @@ package orchestrator
 import (
 	"encoding/json"
 	"fmt"
-	"net/netip"
 	"os"
 	"path/filepath"
 
@@ -23,7 +22,6 @@ import (
 	"github.com/lumina-sim/lumina/internal/inband"
 	"github.com/lumina-sim/lumina/internal/injector"
 	"github.com/lumina-sim/lumina/internal/lineage"
-	"github.com/lumina-sim/lumina/internal/packet"
 	"github.com/lumina-sim/lumina/internal/rnic"
 	"github.com/lumina-sim/lumina/internal/sim"
 	"github.com/lumina-sim/lumina/internal/telemetry"
@@ -83,17 +81,12 @@ type Options struct {
 	// results are keyed by it.
 	Transport string
 
-	// Shards selects the sharded event-loop engine (sim.Fabric): each
-	// fabric node — host NIC, leaf, spine+dumpers — runs its own event
-	// heap, synchronized by conservative lookahead, with Shards capping
-	// how many node loops execute concurrently inside one window.
-	//
-	// 0 or 1 (the default) keeps today's inline single-heap path for
-	// pair testbeds; >1 partitions the pair across three nodes
-	// (requester / responder / switch+dumpers). Configurations with a
-	// fabric topology (config.Test.Fabric) always build per-node and use
-	// Shards only as the parallelism cap. Every artifact is
-	// byte-identical at any Shards value.
+	// Shards caps how many node loops of a fabric topology
+	// (config.Test.Fabric) execute concurrently inside one conservative
+	// window; 0 or 1 runs them serially. Every node — host NIC, leaf,
+	// spine+dumpers — keeps its own event heap whatever the value, so
+	// every artifact is byte-identical at any Shards value. The pair
+	// testbed is a single node, so Shards has no effect on it.
 	Shards int
 }
 
@@ -193,12 +186,25 @@ type Testbed struct {
 	Cfg  config.Test
 	Opts Options
 
-	Sim     *sim.Simulator
-	ReqNIC  *rnic.NIC
-	RespNIC *rnic.NIC
-	Switch  *injector.Switch
-	Pool    *dumper.Pool
-	Pair    *traffic.Pair
+	// Fabric is the event-loop engine every testbed runs on (topology.go);
+	// Sim is its node 0 — the pair testbed's only node, a leaf-spine
+	// fabric's host 0.
+	Fabric *sim.Fabric
+	Sim    *sim.Simulator
+
+	// Switch is the injector-capable switch (a leaf-spine fabric's
+	// spine); Leaves are the L2-only leaf switches, nil on the pair.
+	Switch *injector.Switch
+	Leaves []*injector.Switch
+	Pool   *dumper.Pool
+
+	// Pairs are the traffic generators, one per requester NIC in
+	// Requesters, each driving connections toward the Responder NIC:
+	// one pair on the pair testbed, one per sender host on a leaf-spine
+	// incast (whose Responder is host 0, the sink).
+	Pairs      []*traffic.Pair
+	Requesters []*rnic.NIC
+	Responder  *rnic.NIC
 
 	// Ports holds every fabric port in creation order (host NIC, switch
 	// host-facing, dumper, switch dumper-facing); Execute publishes their
@@ -207,40 +213,20 @@ type Testbed struct {
 	// INT is the in-band telemetry collector; nil unless Options.INT.
 	INT *inband.Collector
 
-	// Fabric is the sharded event-loop engine; nil on the inline path
-	// (pair testbed with Options.Shards <= 1). When non-nil, Sim aliases
-	// node 0 and Execute runs the conservative-window loop (shard.go).
-	Fabric *sim.Fabric
-	// Pairs are the per-sender traffic generators of a fabric-topology
-	// run (Pair is nil then); pair testbeds use Pair.
-	Pairs []*traffic.Pair
-	// Senders/Recv are the fabric-topology NICs: Recv is host 0 (the
-	// incast sink), Senders the rest. Nil on pair testbeds, which use
-	// ReqNIC/RespNIC.
-	Senders []*rnic.NIC
-	Recv    *rnic.NIC
-	// Leaves are the L2-only leaf switches of a fabric topology (the
-	// Switch field holds the injector-capable spine).
-	Leaves []*injector.Switch
-
-	// Sharded-run telemetry plumbing: ctl is the control hub owning the
-	// canonical merged stream, hubs the per-shard hubs in node order,
-	// covs the per-shard coverage maps. evPrefix/evDrain are splice
-	// indices into ctl's stream (see spliceEvents).
-	ctl               *telemetry.Hub
-	hubs              []*telemetry.Hub
-	covs              []*coverage.Map
-	evPrefix, evDrain int
-	shardRunDeadline  sim.Time
+	// Telemetry and coverage plumbing: ctl is the control hub owning the
+	// canonical stream, hubs the per-node hubs in node order, covs the
+	// per-node coverage maps.
+	ctl  *telemetry.Hub
+	hubs []*telemetry.Hub
+	covs []*coverage.Map
 }
 
 // unreliableQPNs unions the UC/UD destination-QPN sets of every traffic
-// generator the testbed drives (the single Pair of a pair testbed, or
-// the per-sender Pairs of a fabric run). Nil for all-RC runs, keeping
-// the historical verdict shape.
+// generator the testbed drives. Nil for all-RC runs, keeping the
+// historical verdict shape.
 func (tb *Testbed) unreliableQPNs() map[uint32]bool {
 	var set map[uint32]bool
-	add := func(p *traffic.Pair) {
+	for _, p := range tb.Pairs {
 		for qpn := range p.UnreliableQPNs() {
 			if set == nil {
 				set = map[uint32]bool{}
@@ -248,16 +234,12 @@ func (tb *Testbed) unreliableQPNs() map[uint32]bool {
 			set[qpn] = true
 		}
 	}
-	if tb.Pair != nil {
-		add(tb.Pair)
-	}
-	for _, p := range tb.Pairs {
-		add(p)
-	}
 	return set
 }
 
-// Build assembles the testbed for cfg without starting traffic.
+// Build assembles the testbed for cfg without starting traffic: the
+// two-host pair testbed, or the leaf-spine fabric when cfg.Fabric is
+// set (see topology.go).
 func Build(cfg config.Test, opts Options) (*Testbed, error) {
 	if opts.Transport != "" {
 		if _, err := rnic.ParseTransport(opts.Transport); err != nil {
@@ -272,151 +254,54 @@ func Build(cfg config.Test, opts Options) (*Testbed, error) {
 	if opts.Deadline <= 0 {
 		opts.Deadline = DefaultOptions().Deadline
 	}
-	if cfg.Fabric != nil || opts.Shards > 1 {
-		return buildSharded(cfg, opts)
+	if cfg.Fabric != nil {
+		return leafSpine(cfg, opts)
 	}
-	s := sim.New(cfg.Seed)
-	if opts.Telemetry {
-		s.AttachHub(telemetry.NewHub())
-		s.Hub().Emit(telemetry.KindRunPhase, "orchestrator", "setup")
-	}
-	if opts.Coverage {
-		s.AttachCoverage(coverage.NewMap())
-	}
-
-	reqNIC, err := buildNIC(s, cfg.Requester, "requester", packet.MAC{2, 0, 0, 0, 0, 1})
-	if err != nil {
-		return nil, err
-	}
-	respNIC, err := buildNIC(s, cfg.Responder, "responder", packet.MAC{2, 0, 0, 0, 0, 2})
-	if err != nil {
-		return nil, err
-	}
-
-	sw := injector.New(s, cfg.Switch)
-	sw.NoRSSRewrite = !cfg.Dumpers.RSSPortRewrite
-	sw.ByIngressMirror = !cfg.Dumpers.PerPacketLB
-
-	// Host links run at each NIC's line rate.
-	reqPort, swReq := sim.Connect(s, "req-nic", "sw-req", reqNIC.Prof.LinkGbps, 100)
-	respPort, swResp := sim.Connect(s, "resp-nic", "sw-resp", respNIC.Prof.LinkGbps, 100)
-	reqNIC.AttachPort(reqPort)
-	respNIC.AttachPort(respPort)
-	sw.AttachHost(swReq, reqNIC.MAC)
-	sw.AttachHost(swResp, respNIC.MAC)
-	ports := []*sim.Port{reqPort, swReq, respPort, swResp}
-
-	// INT stamping hops, in fixed registration order: NIC egress ports
-	// originate transits, switch egress ports append their view, and the
-	// injector's pipeline (registered by EnableINT) binds transit IDs to
-	// mirror sequence numbers. Dumper-facing ports are never stamped —
-	// mirror copies must reach the trace with their bytes untouched.
-	var col *inband.Collector
-	if opts.INT {
-		col = inband.NewCollector(s.Hub())
-		col.AttachPort(reqPort, true)
-		col.AttachPort(respPort, true)
-		col.AttachPort(swReq, false)
-		col.AttachPort(swResp, false)
-		sw.EnableINT(col)
-	}
-
-	// Dumper pool. In the two-host (no per-packet LB) design only two
-	// nodes are used, one per traffic direction.
-	nNodes := cfg.Dumpers.Nodes
-	if !cfg.Dumpers.PerPacketLB && nNodes > 2 {
-		nNodes = 2
-	}
-	dcfg := dumper.Config{
-		Cores:       cfg.Dumpers.CoresPerNode,
-		PerCoreGbps: cfg.Dumpers.PerCoreGbps,
-		TrimBytes:   cfg.Dumpers.TrimBytes,
-	}
-	pool := dumper.NewPool(s, nNodes, dcfg)
-	for i, node := range pool.Nodes {
-		nodePort, swPort := sim.Connect(s, fmt.Sprintf("dumper-%d", i), fmt.Sprintf("sw-dump-%d", i), cfg.Dumpers.NodeGbps, 100)
-		node.AttachPort(nodePort)
-		w := 1
-		if i < len(cfg.Dumpers.Weights) {
-			w = cfg.Dumpers.Weights[i]
-		}
-		sw.AttachDumper(swPort, w)
-		ports = append(ports, nodePort, swPort)
-	}
-
-	pair, err := traffic.NewPair(s, reqNIC, respNIC, cfg.Traffic)
-	if err != nil {
-		return nil, err
-	}
-
-	// Control-plane phase (§3.3): the requester shares runtime metadata
-	// with the injector, which combines it with the configured intents
-	// to populate the match-action table — before traffic starts.
-	metas := pair.ConnMetas()
-	for _, m := range metas {
-		sw.AddConnection(m)
-	}
-	if cfg.Switch.Inject {
-		rules, err := injector.TranslateIntents(cfg.Traffic.Events, cfg.Traffic.Verb, metas, cfg.Traffic.PacketsPerQP())
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range rules {
-			sw.InstallRule(r)
-		}
-	}
-
-	return &Testbed{
-		Cfg: cfg, Opts: opts,
-		Sim: s, ReqNIC: reqNIC, RespNIC: respNIC,
-		Switch: sw, Pool: pool, Pair: pair,
-		Ports: ports, INT: col,
-	}, nil
-}
-
-func buildNIC(s *sim.Simulator, h config.Host, name string, mac packet.MAC) (*rnic.NIC, error) {
-	prof, err := rnic.ProfileByName(h.NIC.Type)
-	if err != nil {
-		return nil, err
-	}
-	set := rnic.Settings{
-		DCQCNRPEnable:      h.RoCE.DCQCNRPEnable,
-		DCQCNNPEnable:      h.RoCE.DCQCNNPEnable,
-		MinTimeBetweenCNPs: h.RoCE.MinCNPInterval(),
-		AdaptiveRetrans:    h.RoCE.AdaptiveRetrans,
-		SlowRestart:        h.RoCE.SlowRestart,
-	}
-	var ets rnic.ETSConfig
-	for _, q := range h.ETS {
-		ets.Queues = append(ets.Queues, rnic.ETSQueueConfig{Strict: q.Strict, Weight: q.Weight})
-	}
-	ips := append([]netip.Addr(nil), h.NIC.IPList...)
-	return rnic.New(s, prof, rnic.Config{
-		Name: name, MAC: mac, IPs: ips, ETS: ets, Set: set,
-	}), nil
+	return pair(cfg, opts)
 }
 
 // Execute runs traffic to completion (or the deadline), collects all
 // results, reconstructs the trace and performs the integrity check.
+// Serial phases bracket the conservative-window run, and every artifact
+// merges deterministically across nodes (see topology.go).
 func (tb *Testbed) Execute() (*Report, error) {
-	if tb.Fabric != nil {
-		return tb.executeSharded()
+	f, ctl := tb.Fabric, tb.ctl
+	ctl.Emit(telemetry.KindRunPhase, "orchestrator", "traffic")
+	for _, p := range tb.Pairs {
+		if err := p.Start(nil); err != nil {
+			return nil, err
+		}
 	}
-	hub := tb.Sim.Hub()
-	hub.Emit(telemetry.KindRunPhase, "orchestrator", "traffic")
-	if err := tb.Pair.Start(nil); err != nil {
-		return nil, err
+
+	// Run phase. On several nodes each hub records locally while node
+	// loops run concurrently; a one-node run keeps sinking into ctl.
+	split := len(tb.hubs) > 1
+	prefix := len(ctl.Events())
+	if split {
+		for _, h := range tb.hubs {
+			h.SetSink(nil)
+		}
 	}
-	tb.Sim.DrainUntil(sim.Time(tb.Opts.Deadline))
-	timedOut := !tb.Pair.Finished()
+	deadline := sim.Time(tb.Opts.Deadline)
+	f.DrainUntil(deadline)
+	timedOut := !tb.trafficFinished()
+	drain := prefix
 	if !timedOut {
 		// Drain trailing events (mirrors in flight, dumper processing).
-		hub.Emit(telemetry.KindRunPhase, "orchestrator", "drain")
-		tb.Sim.Run()
+		ctl.Emit(telemetry.KindRunPhase, "orchestrator", "drain")
+		drain = len(ctl.Events())
+		f.Run()
+	}
+	f.AlignClocks()
+	if split {
+		tb.mergeRunEvents(prefix, drain, deadline)
+		for _, h := range tb.hubs {
+			h.SetSink(ctl)
+		}
 	}
 
 	// TERM the dumpers and rebuild the trace (§3.4, §3.5).
-	hub.Emit(telemetry.KindRunPhase, "orchestrator", "terminate")
+	ctl.Emit(telemetry.KindRunPhase, "orchestrator", "terminate")
 	records := tb.Pool.Terminate()
 	tr, err := trace.Reconstruct(records)
 	if err != nil {
@@ -425,13 +310,13 @@ func (tb *Testbed) Execute() (*Report, error) {
 
 	rep := &Report{
 		Config:            tb.Cfg,
-		Traffic:           tb.Pair.Snapshot(),
-		RequesterCounters: tb.ReqNIC.Counters.Snapshot(),
-		ResponderCounters: tb.RespNIC.Counters.Snapshot(),
+		Traffic:           tb.trafficResults(),
+		RequesterCounters: sumCounters(tb.Requesters),
+		ResponderCounters: tb.Responder.Counters.Snapshot(),
 		SwitchTotals:      tb.Switch.Totals(),
 		SwitchPerPort:     tb.Switch.PerPort(),
 		TimedOut:          timedOut,
-		DurationNs:        tb.Sim.Now(),
+		DurationNs:        f.Now(),
 		Trace:             tr,
 	}
 	for _, n := range tb.Pool.Nodes {
@@ -454,7 +339,7 @@ func (tb *Testbed) Execute() (*Report, error) {
 		// already terminated, so this cannot perturb the trace. The
 		// verdict probes are emitted before the Events snapshot so they
 		// appear as instants on the orchestrator timeline track.
-		rep.Lineage = lineage.Build(tr, hub.Events())
+		rep.Lineage = lineage.Build(tr, ctl.Events())
 		rep.Verdicts = analyzer.VerdictsWith(tr, rep.Lineage,
 			analyzer.VerdictOptions{UnreliableQPNs: tb.unreliableQPNs()})
 		for _, v := range rep.Verdicts {
@@ -462,24 +347,32 @@ func (tb *Testbed) Execute() (*Report, error) {
 			if !v.Pass {
 				result = "fail"
 			}
-			hub.EmitArgs(telemetry.KindVerdict, "orchestrator", v.Analyzer,
+			ctl.EmitArgs(telemetry.KindVerdict, "orchestrator", v.Analyzer,
 				telemetry.S("result", result),
 				telemetry.S("reason", v.Reason))
 		}
 	}
 	if tb.INT != nil {
-		rep.INT = tb.buildINTReport(rep, hub)
+		rep.INT = tb.buildINTReport(rep, ctl)
 	}
-	if cov := tb.Sim.Coverage(); cov != nil {
-		rep.Coverage = tb.buildCoverageReport(cov, hub)
+	if len(tb.covs) > 0 {
+		// The frontier size lands in metrics.json only when telemetry is
+		// independently on, keeping metrics.json byte-identical with
+		// coverage on or off.
+		for _, m := range tb.covs {
+			rep.Coverage = coverage.MergeReports(rep.Coverage, m.Report())
+		}
+		if ctl.Active() {
+			ctl.Count("coverage.pairs", int64(rep.Coverage.Covered))
+		}
 	}
-	if hub.Active() {
+	if ctl.Active() {
 		// Per-port fabric gauges (queue high-water mark, link
 		// utilization): published whenever telemetry is on, INT or not,
 		// so metrics.json always reflects fabric state.
-		now := int64(tb.Sim.Now())
+		now := int64(f.Now())
 		for _, p := range tb.Ports {
-			hub.SetGauge("port."+p.Name+".max_queue_bytes", p.MaxQueue)
+			ctl.SetGauge("port."+p.Name+".max_queue_bytes", p.MaxQueue)
 			util := int64(0)
 			if now > 0 {
 				util = int64(p.Busy) * 1000 / now
@@ -487,10 +380,13 @@ func (tb *Testbed) Execute() (*Report, error) {
 					util = 1000
 				}
 			}
-			hub.SetGauge("port."+p.Name+".util_permille", util)
+			ctl.SetGauge("port."+p.Name+".util_permille", util)
 		}
-		rep.Metrics = hub.Snapshot()
-		rep.Events = hub.Events()
+		for _, h := range tb.hubs {
+			h.Registry().MergeInto(ctl.Registry())
+		}
+		rep.Metrics = ctl.Snapshot()
+		rep.Events = ctl.Events()
 	}
 	return rep, nil
 }

@@ -3,11 +3,12 @@ package orchestrator
 import (
 	"os"
 	"path/filepath"
-	"runtime"
+	"reflect"
 	"testing"
 
 	"github.com/lumina-sim/lumina/internal/config"
 	"github.com/lumina-sim/lumina/internal/sim"
+	"github.com/lumina-sim/lumina/internal/telemetry"
 )
 
 // artifactTree runs cfg at the given shard count and returns every
@@ -69,32 +70,18 @@ func shardOpts(shards int) Options {
 	return o
 }
 
-// TestPairArtifactsIdenticalAcrossShards is the tentpole acceptance
-// test for the two-host testbed: the full artifact set — summary.json,
-// int.json, coverage.json, metrics.json, timeline.json, trace.pcap,
-// report.json — is byte-identical whether the run executes on the
-// legacy inline event loop (shards=1) or partitioned per node with
-// conservative lookahead (shards=2, NumCPU).
-func TestPairArtifactsIdenticalAcrossShards(t *testing.T) {
-	cfg := baseCfg()
-	cfg.Traffic.Events = []config.Event{{Iter: 1, QPN: 1, PSN: 4, Type: "ecn"}}
-
-	want := artifactTree(t, cfg, shardOpts(1))
-	for _, n := range []int{2, runtime.NumCPU()} {
-		got := artifactTree(t, cfg, shardOpts(n))
-		requireIdenticalTrees(t, want, got, "shards="+itoa(n))
-	}
-}
-
 // TestTimeoutArtifactsIdenticalAcrossShards covers the partial-result
-// path: a deadline that expires mid-traffic must leave the sharded and
-// inline runs with the same timed-out report, byte for byte.
+// path on a multi-node fabric: a deadline that expires mid-traffic must
+// leave the 16-host incast with the same timed-out artifacts, byte for
+// byte, whether its node loops run serially (shards=1) or concurrently
+// (shards=8) — the run-phase probe streams splice around the deadline
+// boundary the same way.
 func TestTimeoutArtifactsIdenticalAcrossShards(t *testing.T) {
-	cfg := baseCfg()
+	cfg := incastCfg()
 	opts1 := shardOpts(1)
 	opts1.Deadline = 20 * sim.Microsecond
-	opts2 := shardOpts(2)
-	opts2.Deadline = 20 * sim.Microsecond
+	opts8 := shardOpts(8)
+	opts8.Deadline = 20 * sim.Microsecond
 
 	rep, err := Run(cfg, opts1)
 	if err != nil {
@@ -103,9 +90,49 @@ func TestTimeoutArtifactsIdenticalAcrossShards(t *testing.T) {
 	if !rep.TimedOut {
 		t.Fatal("deadline was expected to expire mid-traffic; tighten it")
 	}
+	// Up to the terminate marker the canonical stream is in timestamp
+	// order — build and traffic start at 0, then the merged run phase,
+	// which stops at the deadline — with the phase markers in place.
+	var phases []string
+	term, running := -1, 0
+	for i, e := range rep.Events {
+		if i > 0 && e.At < rep.Events[i-1].At {
+			t.Fatalf("event %d (%s %s) at %d precedes event %d at %d", i, e.Kind, e.Name, e.At, i-1, rep.Events[i-1].At)
+		}
+		if e.At > int64(opts1.Deadline) {
+			t.Fatalf("event %d (%s %s) at %d is past the deadline", i, e.Kind, e.Name, e.At)
+		}
+		if e.Kind == telemetry.KindRunPhase {
+			phases = append(phases, e.Name)
+			if e.Name == "terminate" {
+				term = i
+				break
+			}
+		} else if e.At > 0 {
+			running++
+		}
+	}
+	if want := []string{"setup", "traffic", "terminate"}; !reflect.DeepEqual(phases, want) || term < 0 {
+		t.Fatalf("phase markers %q, want %q", phases, want)
+	}
+	if running == 0 {
+		t.Fatal("no run-phase events before the terminate marker")
+	}
 	want := artifactTree(t, cfg, opts1)
-	got := artifactTree(t, cfg, opts2)
-	requireIdenticalTrees(t, want, got, "timeout shards=2")
+	got := artifactTree(t, cfg, opts8)
+	requireIdenticalTrees(t, want, got, "timeout shards=8")
+}
+
+// incastCfg is a 16-host leaf-spine incast: 15 senders × 2 QPs into
+// host 0.
+func incastCfg() config.Test {
+	cfg := config.Default()
+	cfg.Name = "incast-test"
+	cfg.Fabric = &config.FabricTopo{Leaves: 2, HostsPerLeaf: 8, UplinkGbps: 400, Pattern: "incast"}
+	cfg.Traffic.NumConnections = 2
+	cfg.Traffic.NumMsgsPerQP = 2
+	cfg.Traffic.Events = nil
+	return cfg
 }
 
 // TestFabricIncastArtifactsIdenticalAcrossShards scales the identity
@@ -113,31 +140,11 @@ func TestTimeoutArtifactsIdenticalAcrossShards(t *testing.T) {
 // same bytes at shards=1 (serial window execution) and shards=8
 // (parallel shard draining).
 func TestFabricIncastArtifactsIdenticalAcrossShards(t *testing.T) {
-	cfg := config.Default()
-	cfg.Name = "incast-test"
-	cfg.Fabric = &config.FabricTopo{Leaves: 2, HostsPerLeaf: 8, UplinkGbps: 400, Pattern: "incast"}
-	cfg.Traffic.NumConnections = 2
-	cfg.Traffic.NumMsgsPerQP = 2
-	cfg.Traffic.Events = nil
-
+	cfg := incastCfg()
 	want := artifactTree(t, cfg, shardOpts(1))
 	got := artifactTree(t, cfg, shardOpts(8))
 	requireIdenticalTrees(t, want, got, "incast shards=8")
 	if len(want) == 0 {
 		t.Fatal("incast run produced no artifacts")
 	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
 }

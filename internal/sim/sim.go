@@ -208,7 +208,6 @@ type Simulator struct {
 
 	executed  uint64 // total events fired, for diagnostics
 	cancelled uint64
-	running   bool
 
 	// hub is the attached telemetry probe bus; nil (the default) means
 	// every probe emitted by components running on this simulator is a
@@ -414,8 +413,6 @@ func (s *Simulator) stepBatch() bool {
 // Run drains the event queue until no events remain, then returns the
 // final virtual time.
 func (s *Simulator) Run() Time {
-	s.running = true
-	defer func() { s.running = false }()
 	for s.stepBatch() {
 	}
 	return s.now
@@ -425,8 +422,6 @@ func (s *Simulator) Run() Time {
 // sets the clock to deadline and returns. Events scheduled exactly at the
 // deadline do fire.
 func (s *Simulator) RunUntil(deadline Time) {
-	s.running = true
-	defer func() { s.running = false }()
 	for len(s.queue) > 0 {
 		if s.queue[0].at > deadline {
 			break

@@ -22,6 +22,8 @@
 // cycle; virtual time crosses the boundary as int64 nanoseconds.
 package telemetry
 
+import "slices"
+
 // Kind names a probe event family. Kinds are dot-namespaced by the
 // emitting subsystem; see the README's probe taxonomy.
 type Kind string
@@ -102,9 +104,9 @@ type Hub struct {
 	// with this hub's clock) instead of the local stream. The sharded
 	// orchestrator points every shard hub at one control hub during the
 	// serial build/teardown phases, so those events keep their exact
-	// call order; during the parallel run phase sinks are detached and
-	// each shard records locally. Metric operations always stay local —
-	// registries merge order-independently.
+	// call order; during the run phase of a multi-shard run sinks are
+	// detached and each shard records locally. Metric operations always
+	// stay local — registries merge order-independently.
 	sink *Hub
 }
 
@@ -231,6 +233,16 @@ func (h *Hub) Events() []Event {
 		return nil
 	}
 	return h.events
+}
+
+// Insert splices evs into the recorded stream before index i (0 ≤ i ≤
+// len(Events())). The sharded orchestrator uses it to place a merged
+// run-phase stream between the serial-phase events around it.
+func (h *Hub) Insert(i int, evs []Event) {
+	if h == nil || len(evs) == 0 {
+		return
+	}
+	h.events = slices.Insert(h.events, i, evs...)
 }
 
 // Registry returns the hub's metrics registry (nil on a detached hub).
